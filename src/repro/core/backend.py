@@ -16,6 +16,7 @@ can start with ``None`` state and never need a schema up front.
 """
 from __future__ import annotations
 
+from repro.zset import ops as zops
 from repro.zset import ref
 from repro.zset.frame import ZSet
 
@@ -60,6 +61,15 @@ class GroupOps:
         if state is None:
             return self.materialize(delta)
         return self.materialize(self.add(state, delta))
+
+    def join(self, join_fn, a, b, broadcast: str):
+        """Apply the bilinear payload ``join_fn`` to ``a`` and ``b``.
+
+        ``broadcast`` ('left' or 'right') names the side that holds the
+        change; Spark payloads take it as a third argument and broadcast
+        that side. Here values have no physical plan: ``join_fn(a, b)``.
+        """
+        return join_fn(a, b)
 
     def h(self, i, d):
         """Proposition 4.7's ``H(i, d)`` — used by incremental distinct."""
@@ -149,6 +159,9 @@ class SparkZSetOps(GroupOps):
     def materialize(self, a: ZSet) -> ZSet:
         return a.materialize()
 
+    def join(self, join_fn, a: ZSet, b: ZSet, broadcast: str) -> ZSet:
+        return join_fn(a, b, broadcast)
+
     def h(self, i: ZSet, d: ZSet) -> ZSet:
         """``H(i, d)`` computed with one probe join against the integral.
 
@@ -168,8 +181,7 @@ class SparkZSetOps(GroupOps):
             dd = d.consolidate().df.withColumnRenamed(W, "__wd")
             dd = dd.localCheckpoint(eager=True)  # reused twice below
         cols = d.data_cols
-        keys = F.broadcast(dd.select(*cols))
-        restricted = i.df.join(keys, on=cols, how="leftsemi")
+        restricted = zops.restrict_z(i, dd.select(*cols)).df
         ii = restricted.groupBy(*cols).agg(F.sum(W).alias("__wi"))
         joined = dd.join(ii, on=cols, how="left")
         old = F.coalesce(F.col("__wi"), F.lit(0))

@@ -7,7 +7,6 @@ Nodes hold exactly the state the paper's operators need:
 * :class:`Delay` (z⁻¹)            — the previous input;
 * :class:`Integrate` (I)          — the running sum (the only O(R) state);
 * :class:`Differentiate` (D)      — the previous input;
-* :class:`LiftNode` (↑f)          — stateless;
 * :class:`IncrementalJoin`        — Theorem 3.4's three-term bilinear form,
   with the two delayed integrals as state;
 * :class:`IncrementalDistinct`    — Proposition 4.7: ``out = H(z⁻¹I(d), d)``;
@@ -93,16 +92,6 @@ class Differentiate(Node):
         return self.ops.consolidate(out)
 
 
-class LiftNode(Node):
-    """``↑f`` — apply a scalar Z-set function pointwise in time. Stateless."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def step(self, *inputs):
-        return self.fn(*inputs)
-
-
 class IncrementalJoin(Node):
     """``(↑⋈)^Δ`` — Theorem 3.4 for a bilinear operator.
 
@@ -111,33 +100,22 @@ class IncrementalJoin(Node):
     State: the two integrals (the relations' full contents, O(R) space,
     exactly what the paper says a join must remember, updated append-only
     in O(C)); per-step work is proportional to the change sizes — every
-    term has a Δ input. ``join_fn(a, b)`` is the bilinear payload (any of
-    :func:`repro.zset.ops.join_z` / ``cartesian_z`` / ``intersect_z`` or a
-    reference-backend closure). A payload that additionally accepts a
-    ``small=`` keyword ('left'/'right'/'both') is told which argument is
-    the change so it can hint the physical plan (broadcast the Δ side).
+    term has a Δ input. ``join_fn`` is the bilinear payload, applied
+    through :meth:`GroupOps.join <repro.core.backend.GroupOps.join>`,
+    which tells a Spark payload (e.g.
+    :func:`repro.core.operators.join_payload`) the change side to
+    broadcast; a reference-backend payload takes just ``(a, b)``.
     """
 
     def __init__(self, ops: GroupOps, join_fn: Callable):
-        import inspect
-
         self.ops = ops
         self.join_fn = join_fn
-        try:
-            self._hinted = "small" in inspect.signature(join_fn).parameters
-        except (TypeError, ValueError):  # builtins, partials without sig
-            self._hinted = False
         self._ia = None  # z⁻¹(I(a)): integral of a, *excluding* current Δa
         self._ib = None
 
     def reset(self) -> None:
         self._ia = None
         self._ib = None
-
-    def _join(self, a, b, small: str):
-        if self._hinted:
-            return self.join_fn(a, b, small=small)
-        return self.join_fn(a, b)
 
     def state_sizes(self) -> tuple[int, int]:
         """Support sizes of the two stored integrals (space metric)."""
@@ -150,11 +128,12 @@ class IncrementalJoin(Node):
         # the state updates reuse the cached results
         da = self.ops.materialize(da)
         db = self.ops.materialize(db)
-        out = self._join(da, db, "both")
+        join = self.ops.join
+        out = join(self.join_fn, da, db, "right")
         if self._ia is not None:
-            out = self.ops.add(out, self._join(self._ia, db, "right"))
+            out = self.ops.add(out, join(self.join_fn, self._ia, db, "right"))
         if self._ib is not None:
-            out = self.ops.add(out, self._join(da, self._ib, "left"))
+            out = self.ops.add(out, join(self.join_fn, da, self._ib, "left"))
         self._ia = self.ops.accumulate(self._ia, da)
         self._ib = self.ops.accumulate(self._ib, db)
         return self.ops.consolidate(out)

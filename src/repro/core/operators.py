@@ -6,12 +6,13 @@ adds the ones whose efficient form needs relational structure:
 * :class:`IncrementalGroupAggregate` — §7.4: on a change, re-aggregate only
   the groups whose grouping Z-set changed (semijoin the integral with the
   change's keys), emitting retraction + assertion rows.
-* :func:`incremental_join_node` — an :class:`IncrementalJoin` wired to
-  :func:`repro.zset.ops.join_z` plus an optional output projection.
+* :func:`join_payload` — :func:`repro.zset.ops.join_z` plus an optional
+  output projection, as the payload of an :class:`IncrementalJoin`
+  (:func:`incremental_join_node`).
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.zset import aggregates, ops
 from repro.zset.frame import ZSet
@@ -20,26 +21,34 @@ from .backend import SparkZSetOps
 from .circuit import IncrementalJoin, Node
 
 
+def join_payload(
+    on: Sequence[tuple[str, str]] | Sequence[str],
+    project: dict[str, str] | None = None,
+    suffix: str = "_r",
+) -> Callable[..., ZSet]:
+    """An equijoin as a bilinear Spark payload ``(a, b, broadcast=None)``.
+
+    ``broadcast`` is passed straight to :func:`repro.zset.ops.join_z`:
+    the incremental nodes name the change side so Δ ⋈ integral terms
+    probe the state instead of shuffling it. ``project`` (output col ->
+    SQL expr over the joined columns) is fused into the payload —
+    projection is linear, so the payload stays one bilinear operator.
+    """
+
+    def payload(a: ZSet, b: ZSet, broadcast: str | None = None) -> ZSet:
+        j = ops.join_z(a, b, on=on, suffix=suffix, broadcast=broadcast)
+        return ops.map_z(j, project) if project else j
+
+    return payload
+
+
 def incremental_join_node(
     on: Sequence[tuple[str, str]] | Sequence[str],
     project: dict[str, str] | None = None,
     suffix: str = "_r",
 ) -> IncrementalJoin:
-    """A Theorem-3.4 join node over Spark Z-sets.
-
-    ``project`` (output col -> SQL expr over the joined columns) is fused
-    into the bilinear payload — projection is linear, so fusing it keeps
-    the node a single bilinear operator. The payload accepts the node's
-    ``small=`` hint and broadcasts the change side of Δ ⋈ integral terms.
-    """
-    sops = SparkZSetOps()
-
-    def payload(a: ZSet, b: ZSet, small: str = "both") -> ZSet:
-        bcast = {"left": "left", "right": "right", "both": "right"}[small]
-        j = ops.join_z(a, b, on=on, suffix=suffix, broadcast=bcast)
-        return ops.map_z(j, project) if project else j
-
-    return IncrementalJoin(sops, payload)
+    """A Theorem-3.4 join node over Spark Z-sets (see :func:`join_payload`)."""
+    return IncrementalJoin(SparkZSetOps(), join_payload(on, project, suffix))
 
 
 class IncrementalGroupAggregate(Node):
@@ -74,11 +83,6 @@ class IncrementalGroupAggregate(Node):
     def state_size(self) -> int:
         return 0 if self._i is None else self._i.support_count()
 
-    def _restrict(self, z: ZSet, keys_df) -> ZSet:
-        from pyspark.sql import functions as F
-
-        return ZSet(z.df.join(F.broadcast(keys_df), on=self.keys, how="leftsemi"))
-
     def step(self, d: ZSet) -> ZSet:
         d = d.materialize()
         keys_df = d.df.select(*self.keys).distinct().localCheckpoint(eager=True)
@@ -88,7 +92,7 @@ class IncrementalGroupAggregate(Node):
         else:
             # one scan of the O(R) state extracts the changed groups; both
             # the old and the new aggregates then work on that small slice
-            touched = self._restrict(self._i, keys_df).materialize()
+            touched = ops.restrict_z(self._i, keys_df).materialize()
             old_out = aggregates.group_agg(touched, self.keys, self.aggs)
             new_out = aggregates.group_agg(touched.add(d), self.keys, self.aggs)
         out = new_out if old_out is None else new_out.sub(old_out)

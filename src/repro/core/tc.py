@@ -12,6 +12,7 @@ Spark Z-set payload functions consumed by the recursion drivers
 """
 from __future__ import annotations
 
+from repro.core.operators import join_payload
 from repro.zset import ops as zops
 from repro.zset.frame import ZSet
 
@@ -33,16 +34,11 @@ def tc_base_fn(e: ZSet) -> ZSet:
     return zops.map_z(e, {"s": "h", "t": "t"})
 
 
-def tc_join_fn(e: ZSet, r: ZSet, small: str | None = None) -> ZSet:
-    """R(x,y) :- E(x,z), R(z,y): join on E.t = R.s, project (E.h, R.t).
-
-    ``small`` is the incremental nodes' hint naming the change side; it is
-    broadcast so Δ ⋈ integral terms probe rather than shuffle the state.
-    Unhinted calls (naïve evaluation) use the ordinary shuffle join.
-    """
-    bcast = {"left": "left", "right": "right", "both": "right", None: None}[small]
-    j = zops.join_z(e, r, on=[("t", "s")], broadcast=bcast)
-    return zops.map_z(j, {"s": "h", "t": "t_r"})
+#: R(x,y) :- E(x,z), R(z,y): join on E.t = R.s, project (E.h, R.t). The
+#: incremental nodes pass the change side as ``broadcast`` so Δ ⋈ integral
+#: terms probe rather than shuffle the state; naïve evaluation calls it
+#: with two arguments and gets the ordinary shuffle join.
+tc_join_fn = join_payload(on=[("t", "s")], project={"s": "h", "t": "t_r"})
 
 
 def tc_body(e: ZSet):

@@ -10,45 +10,70 @@ replaced by its incremental version — linear nodes by themselves
 (Theorem 3.4), ``Distinct`` by :class:`IncrementalDistinct`
 (Proposition 4.7) — then chained (the chain rule of Proposition 3.2).
 ``step`` consumes per-input change Z-sets and emits the view's change.
+
+Both run the same walk, :func:`_run`: the full and the incremental
+circuit differ only at the non-linear nodes, which a callback computes.
 """
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.core.backend import SparkZSetOps
 from repro.core.circuit import IncrementalDistinct, IncrementalJoin
+from repro.core.operators import join_payload
 from repro.zset import ops as zops
 from repro.zset.frame import ZSet
 
 from . import translate as t
 
 
+def _run(
+    node: t.Node, inputs: Mapping[str, ZSet], nonlinear: Callable[..., ZSet]
+) -> ZSet:
+    """Compute ``node`` bottom-up; ``nonlinear(node, *child values)``
+    computes ``Join``, ``Cartesian`` and ``Distinct`` nodes."""
+    if isinstance(node, t.Rel):
+        if node.name not in inputs:
+            raise KeyError(
+                f"input '{node.name}' missing — pass an explicit empty "
+                "ZSet for unchanged inputs"
+            )
+        return inputs[node.name]
+    args = [_run(c, inputs, nonlinear) for c in t.children(node)]
+    if isinstance(node, t.Select):
+        return zops.filter_z(args[0], node.predicate)
+    if isinstance(node, t.Project):
+        return zops.map_z(args[0], dict(node.exprs))
+    if isinstance(node, t.Negate):
+        return args[0].neg()
+    if isinstance(node, t.UnionAll):
+        return args[0].add(args[1])
+    return nonlinear(node, *args)
+
+
+def _cartesian(a: ZSet, b: ZSet, broadcast: str | None = None) -> ZSet:
+    """× as a bilinear payload; its plan takes no broadcast hint."""
+    return zops.cartesian_z(a, b)
+
+
+def _bilinear(node: t.Node) -> Callable[..., ZSet]:
+    """The Spark payload ``(a, b, broadcast=None)`` of a Join or Cartesian."""
+    if isinstance(node, t.Join):
+        return join_payload(node.on, suffix=node.suffix)
+    if isinstance(node, t.Cartesian):
+        return _cartesian
+    raise TypeError(f"unknown node {type(node)}")
+
+
+def _full(node: t.Node, *args: ZSet) -> ZSet:
+    if isinstance(node, t.Distinct):
+        return args[0].distinct()
+    return _bilinear(node)(*args)
+
+
 def evaluate(node: t.Node, inputs: Mapping[str, ZSet]) -> ZSet:
     """Run the (non-incremental) Z-set circuit over full snapshots."""
-    if isinstance(node, t.Rel):
-        return inputs[node.name]
-    if isinstance(node, t.Select):
-        return zops.filter_z(evaluate(node.child, inputs), node.predicate)
-    if isinstance(node, t.Project):
-        return zops.map_z(evaluate(node.child, inputs), dict(node.exprs))
-    if isinstance(node, t.Join):
-        return zops.join_z(
-            evaluate(node.left, inputs),
-            evaluate(node.right, inputs),
-            on=list(node.on),
-            suffix=node.suffix,
-        )
-    if isinstance(node, t.Cartesian):
-        return zops.cartesian_z(
-            evaluate(node.left, inputs), evaluate(node.right, inputs)
-        )
-    if isinstance(node, t.UnionAll):
-        return evaluate(node.left, inputs).add(evaluate(node.right, inputs))
-    if isinstance(node, t.Negate):
-        return evaluate(node.child, inputs).neg()
-    if isinstance(node, t.Distinct):
-        return evaluate(node.child, inputs).distinct()
-    raise TypeError(f"unknown node {type(node)}")
+    return _run(node, inputs, _full)
 
 
 class IncrementalView:
@@ -56,91 +81,38 @@ class IncrementalView:
 
     Built from a (distinct-consolidated) AST; holds one stateful node per
     non-linear AST operator. ``step(changes)`` takes a dict of input-name
-    -> change Z-set and returns the change to the view. Missing inputs
-    default to the zero change (their schema must have been seen at least
-    once or be supplied — pass explicit empty Z-sets on the first step).
+    -> change Z-set and returns the change to the view. Every input the
+    AST reads must be present at every step — pass an explicit empty
+    Z-set for an unchanged input; a missing one raises ``KeyError``.
     """
 
     def __init__(self, ast: t.Node):
         self.ast = t.consolidate_distincts(ast)
         self.sops = SparkZSetOps()
         # one stateful operator per AST occurrence, keyed by object id
-        self._joins: dict[int, IncrementalJoin] = {}
-        self._distincts: dict[int, IncrementalDistinct] = {}
-        self._instantiate(self.ast)
-
-    def _instantiate(self, node: t.Node) -> None:
-        if isinstance(node, t.Rel):
-            return
-        if isinstance(node, (t.Select, t.Project, t.Negate)):
-            self._instantiate(node.child)
-            return
-        if isinstance(node, t.Distinct):
-            self._distincts[id(node)] = IncrementalDistinct(self.sops)
-            self._instantiate(node.child)
-            return
-        if isinstance(node, t.Join):
-            def payload(a, b, small="both", n=node):
-                bcast = {"left": "left", "right": "right", "both": "right"}[small]
-                return zops.join_z(
-                    a, b, on=list(n.on), suffix=n.suffix, broadcast=bcast
-                )
-
-            self._joins[id(node)] = IncrementalJoin(self.sops, payload)
-            self._instantiate(node.left)
-            self._instantiate(node.right)
-            return
-        if isinstance(node, t.Cartesian):
-            self._joins[id(node)] = IncrementalJoin(self.sops, zops.cartesian_z)
-            self._instantiate(node.left)
-            self._instantiate(node.right)
-            return
-        if isinstance(node, t.UnionAll):
-            self._instantiate(node.left)
-            self._instantiate(node.right)
-            return
-        raise TypeError(f"unknown node {type(node)}")
+        self._nodes: dict[int, IncrementalJoin | IncrementalDistinct] = {}
+        for n in t.walk(self.ast):
+            if isinstance(n, t.Distinct):
+                self._nodes[id(n)] = IncrementalDistinct(self.sops)
+            elif isinstance(n, (t.Join, t.Cartesian)):
+                self._nodes[id(n)] = IncrementalJoin(self.sops, _bilinear(n))
 
     def reset(self) -> None:
-        for j in self._joins.values():
-            j.reset()
-        for d in self._distincts.values():
-            d.reset()
+        for n in self._nodes.values():
+            n.reset()
 
     def state_sizes(self) -> dict[str, int]:
         """Support sizes of all integrals held by non-linear nodes."""
         out: dict[str, int] = {}
-        for k, j in self._joins.items():
-            sa, sb = j.state_sizes()
-            out[f"join:{k}"] = sa + sb
-        for k, d in self._distincts.items():
-            out[f"distinct:{k}"] = d.state_size()
+        for k, n in self._nodes.items():
+            if isinstance(n, IncrementalJoin):
+                out[f"join:{k}"] = sum(n.state_sizes())
+            else:
+                out[f"distinct:{k}"] = n.state_size()
         return out
 
     def step(self, changes: Mapping[str, ZSet]) -> ZSet:
         """Advance one transaction: input changes in, view change out."""
-        return self._step(self.ast, changes).consolidate()
-
-    def _step(self, node: t.Node, ch: Mapping[str, ZSet]) -> ZSet:
-        if isinstance(node, t.Rel):
-            if node.name not in ch:
-                raise KeyError(
-                    f"change for input '{node.name}' missing — pass an "
-                    "explicit empty ZSet for unchanged inputs"
-                )
-            return ch[node.name]
-        if isinstance(node, t.Select):  # linear: its own incremental
-            return zops.filter_z(self._step(node.child, ch), node.predicate)
-        if isinstance(node, t.Project):  # linear
-            return zops.map_z(self._step(node.child, ch), dict(node.exprs))
-        if isinstance(node, t.Negate):  # linear
-            return self._step(node.child, ch).neg()
-        if isinstance(node, t.UnionAll):  # linear
-            return self._step(node.left, ch).add(self._step(node.right, ch))
-        if isinstance(node, (t.Join, t.Cartesian)):  # Theorem 3.4
-            return self._joins[id(node)].step(
-                self._step(node.left, ch), self._step(node.right, ch)
-            )
-        if isinstance(node, t.Distinct):  # Proposition 4.7
-            return self._distincts[id(node)].step(self._step(node.child, ch))
-        raise TypeError(f"unknown node {type(node)}")
+        # Theorem 3.4 for Join/Cartesian, Proposition 4.7 for Distinct
+        nonlinear = lambda n, *args: self._nodes[id(n)].step(*args)  # noqa: E731
+        return _run(self.ast, changes, nonlinear).consolidate()

@@ -13,8 +13,8 @@ one ``distinct`` at the end of each chain — the rewrite shown in §4.4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping, Sequence
 
 
 class Node:
@@ -95,6 +95,24 @@ class Distinct(Node):
     child: Node
 
 
+def children(node: Node) -> tuple[Node, ...]:
+    """The inputs of an AST node, left to right."""
+    if isinstance(node, Rel):
+        return ()
+    if isinstance(node, (Select, Project, Negate, Distinct)):
+        return (node.child,)
+    if isinstance(node, (Join, Cartesian, UnionAll)):
+        return (node.left, node.right)
+    raise TypeError(f"unknown node {type(node)}")
+
+
+def walk(node: Node) -> Iterator[Node]:
+    """Every node of the AST, parents before children (pre-order)."""
+    yield node
+    for c in children(node):
+        yield from walk(c)
+
+
 # --------------------------------------------------------------------- #
 # Table 1: SQL set operators -> Z-set circuits
 # --------------------------------------------------------------------- #
@@ -144,12 +162,6 @@ def t_intersect(left: Node, right: Node, cols: Sequence[str]) -> Node:
 # --------------------------------------------------------------------- #
 # Algorithm 4.8 step (2): distinct consolidation (Props 4.5 / 4.6)
 # --------------------------------------------------------------------- #
-#: Node types distinct commutes/consolidates through (Prop. 4.6 list:
-#: σ, π, map, +, ⋈, ×). Negate is *not* in the proposition, so set
-#: difference keeps its inner structure intact.
-_TRANSPARENT = (Select, Project, Join, Cartesian, UnionAll)
-
-
 def is_positive(node: Node) -> bool:
     """Static positivity: does this subtree always yield a positive Z-set?
 
@@ -160,19 +172,15 @@ def is_positive(node: Node) -> bool:
         return True
     if isinstance(node, Negate):
         return False
-    if isinstance(node, (Select, Project)):
-        return is_positive(node.child)
-    if isinstance(node, (Join, Cartesian, UnionAll)):
-        return is_positive(node.left) and is_positive(node.right)
-    raise TypeError(f"unknown node {type(node)}")
+    return all(is_positive(c) for c in children(node))
 
 
 def consolidate_distincts(node: Node) -> Node:
     """Remove distincts made redundant by a downstream distinct.
 
     ``protected=True`` means: some ancestor ``Distinct`` will re-apply, and
-    every operator on the path is in Prop. 4.6's list with *all* of its
-    inputs positive — so an inner ``Distinct`` may be dropped
+    every operator on the path is in Prop. 4.6's list (σ, π, map, +, ⋈, ×)
+    with *all* of its inputs positive — so an inner ``Distinct`` may be dropped
     (``distinct(Q(distinct(i))) = distinct(Q(i))`` requires every input of
     ``Q`` to be positive, not just ``i``: e.g. the ``+`` of a set
     difference mixes in a negated branch and must block consolidation, or
@@ -180,43 +188,27 @@ def consolidate_distincts(node: Node) -> Node:
     a collapsed sum). Positivity is checked statically.
     """
 
-    def walk(n: Node, protected: bool) -> Node:
+    def rewrite(n: Node, protected: bool) -> Node:
         if isinstance(n, Rel):
             return n
         if isinstance(n, Distinct):
             if protected and is_positive(n.child):
-                return walk(n.child, True)
-            return Distinct(walk(n.child, True))
-        if isinstance(n, Select):
-            return Select(walk(n.child, protected), n.predicate)
-        if isinstance(n, Project):
-            return Project(walk(n.child, protected), n.exprs)
-        if isinstance(n, (Join, Cartesian, UnionAll)):
-            # protection crosses a multi-input node only if ALL inputs are
-            # positive (Prop 4.6's ispositive premise applies to each).
-            ok = protected and is_positive(n.left) and is_positive(n.right)
-            l, r = walk(n.left, ok), walk(n.right, ok)
-            if isinstance(n, Join):
-                return Join(l, r, n.on, n.suffix)
-            if isinstance(n, Cartesian):
-                return Cartesian(l, r)
-            return UnionAll(l, r)
+                return rewrite(n.child, True)
+            return Distinct(rewrite(n.child, True))
         if isinstance(n, Negate):
             # Negation is outside Prop 4.6's operator list: protection stops.
-            return Negate(walk(n.child, False))
-        raise TypeError(f"unknown node {type(n)}")
+            return Negate(rewrite(n.child, False))
+        if isinstance(n, (Select, Project)):
+            return replace(n, child=rewrite(n.child, protected))
+        # Join, Cartesian, UnionAll: protection crosses a multi-input node
+        # only if ALL inputs are positive (Prop 4.6's ispositive premise
+        # applies to each).
+        ok = protected and all(is_positive(c) for c in children(n))
+        return replace(n, left=rewrite(n.left, ok), right=rewrite(n.right, ok))
 
-    return walk(node, False)
+    return rewrite(node, False)
 
 
 def count_distincts(node: Node) -> int:
     """Number of Distinct nodes (used to assert the §4.4 consolidation)."""
-    if isinstance(n := node, Rel):
-        return 0
-    if isinstance(n, Distinct):
-        return 1 + count_distincts(n.child)
-    if isinstance(n, (Select, Project, Negate)):
-        return count_distincts(n.child)
-    if isinstance(n, (Join, Cartesian, UnionAll)):
-        return count_distincts(n.left) + count_distincts(n.right)
-    raise TypeError(f"unknown node {type(n)}")
+    return sum(isinstance(n, Distinct) for n in walk(node))

@@ -4,12 +4,12 @@ Scalar aggregates map a Z-set to a value in some group:
 
 * ``agg_count`` — Σ weights. **Linear** ``Z[A] -> Z``.
 * ``agg_sum``   — Σ value·weight. **Linear** ``Z[R] -> R``.
-* ``agg_min`` / ``agg_max`` — over the support of a *positive* Z-set.
-  **Not linear**; their incremental version is brute force (§7.2).
+* ``agg_min`` — over the support of a *positive* Z-set. **Not linear**;
+  its incremental version is brute force (§7.2).
 
-``makeset`` (the paper's ``makeset(x) = 1·x``) re-embeds a scalar result
-as a singleton Z-set so aggregates compose with further queries; the
-``*_singleton`` helpers fuse aggregate∘makeset. ``group_agg`` implements
+The paper's ``makeset(x) = 1·x`` re-embeds a scalar result as a singleton
+Z-set so aggregates compose with further queries; the ``*_singleton``
+helpers fuse aggregate∘makeset into one plan. ``group_agg`` implements
 GROUP BY + aggregate (§7.3/7.4): partitioning is linear, so per-group
 aggregates only need re-evaluation for groups touched by a change (see
 ``IncrementalGroupAggregate`` in :mod:`repro.core.operators`).
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from .frame import W, ZSet
@@ -48,17 +47,6 @@ def agg_min(z: ZSet, col: str) -> float | None:
     return rows[0]["m"]
 
 
-def agg_max(z: ZSet, col: str) -> float | None:
-    """MAX over the support of a positive Z-set (non-linear)."""
-    rows = z.consolidate().df.where(F.col(W) > 0).agg(F.max(col).alias("m")).collect()
-    return rows[0]["m"]
-
-
-def makeset(spark: SparkSession, value, col: str, dtype: str) -> ZSet:
-    """``makeset(x) = 1·x``: embed a scalar as a singleton Z-set."""
-    return ZSet.from_rows(spark, [(value, 1)], f"{col} {dtype}")
-
-
 def count_singleton(z: ZSet, alias: str = "cnt") -> ZSet:
     """``makeset ∘ a_COUNT`` as one Catalyst plan (no driver round-trip)."""
     df = z.df.agg(F.coalesce(F.sum(W), F.lit(0)).cast("long").alias(alias))
@@ -70,16 +58,6 @@ def sum_singleton(z: ZSet, col: str, alias: str = "total") -> ZSet:
     df = z.df.agg(
         F.coalesce(F.sum(F.col(col) * F.col(W)), F.lit(0.0)).alias(alias)
     )
-    return ZSet(df.withColumn(W, F.lit(1).cast("long")))
-
-
-def avg_singleton(z: ZSet, col: str, alias: str = "average") -> ZSet:
-    """AVG = the linear (SUM, COUNT) pair followed by a division (§7.2)."""
-    df = z.df.agg(
-        F.coalesce(F.sum(F.col(col) * F.col(W)), F.lit(0.0)).alias("__s"),
-        F.coalesce(F.sum(W), F.lit(0)).alias("__c"),
-    )
-    df = df.select((F.col("__s") / F.col("__c")).alias(alias))
     return ZSet(df.withColumn(W, F.lit(1).cast("long")))
 
 

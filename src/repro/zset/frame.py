@@ -19,9 +19,9 @@ plans grow without bound across circuit steps.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from pyspark.sql import Column, DataFrame, SparkSession
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 #: Name of the multiplicity column. Double-underscore so it never collides
@@ -202,10 +202,6 @@ class ZSet:
         )
         return exploded.drop(W, "__i")
 
-    def to_pandas(self):
-        """Consolidated contents as a pandas frame (tests/debugging)."""
-        return self.consolidate().df.toPandas()
-
     def collect_dict(self) -> dict[tuple, int]:
         """Consolidated contents as ``{data-tuple: weight}`` (tests)."""
         cols = self.data_cols
@@ -216,10 +212,3 @@ class ZSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"ZSet(cols={self.data_cols})"
-
-
-def from_change_rows(
-    spark: SparkSession, rows: Sequence[tuple], schema: str
-) -> ZSet:
-    """Alias of :meth:`ZSet.from_rows` kept for readability at call sites."""
-    return ZSet.from_rows(spark, rows, schema)

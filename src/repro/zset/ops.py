@@ -3,8 +3,9 @@
 Every SQL (set) operator is implemented as a Z-set operator executed by
 Catalyst. Linearity notes (they drive incrementalization in §3):
 
-* ``filter_z`` (σ), ``map_z`` (π / selection), ``rename``, ``union-all``
-  (group ``+``), ``flatmap_z`` — **linear**: weights pass through rows.
+* ``filter_z`` (σ), ``map_z`` (π / selection), ``restrict_z`` (⋉),
+  ``union-all`` (group ``+``), ``flatmap_z`` — **linear**: weights pass
+  through rows.
 * ``join_z``, ``cartesian_z``, ``intersect_z`` — **bilinear**: the output
   weight is the product of the input weights.
 * ``ZSet.distinct`` — neither; it gets its own incremental operator
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from .frame import W, ZSet
@@ -37,14 +39,6 @@ def map_z(z: ZSet, exprs: Mapping[str, str]) -> ZSet:
     """
     sel = [F.expr(e).alias(name) for name, e in exprs.items()] + [F.col(W)]
     return ZSet(z.df.select(*sel))
-
-
-def rename(z: ZSet, mapping: Mapping[str, str]) -> ZSet:
-    """Rename data columns (a special case of ``map_z``; linear)."""
-    df = z.df
-    for old, new in mapping.items():
-        df = df.withColumnRenamed(old, new)
-    return ZSet(df)
 
 
 def join_z(
@@ -90,6 +84,16 @@ def join_z(
     joined = ldf.join(rdf, on=cond, how="inner")
     joined = joined.withColumn(W, (F.col("__wl") * F.col("__wr")).cast("long"))
     return ZSet(joined.drop("__wl", "__wr"))
+
+
+def restrict_z(z: ZSet, keys: DataFrame) -> ZSet:
+    """``z ⋉ broadcast(keys)``: the rows of ``z`` that match a row of the
+    small plain DataFrame ``keys`` on all of its columns (linear in ``z``).
+
+    This is how an incremental operator reads only the part of its O(R)
+    state that a change touches: one broadcast probe of the state.
+    """
+    return ZSet(z.df.join(F.broadcast(keys), on=keys.columns, how="leftsemi"))
 
 
 def cartesian_z(z_left: ZSet, z_right: ZSet, suffix: str = "_r") -> ZSet:

@@ -152,3 +152,34 @@ def test_missing_input_raises(spark):
     iv = IncrementalView(paper_44_query())
     with pytest.raises(KeyError):
         iv.step({"t1": delta_zset(spark, [(1, 5, 1)], [], T1_SCHEMA)})
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_cartesian_view_incremental(spark, seed):
+    """× maintained incrementally: the bilinear node without an equijoin."""
+    ast = t.t_cartesian(
+        t.t_project(t.t_select(t.Rel("t1"), "a > 2"), {"x": "x"}),
+        t.t_project(t.Rel("t2"), {"y": "y"}),
+    )
+    acc_out, acc_t1, acc_t2 = drive(spark, ast, n_steps=4, seed=seed + 150)
+    assert_equivalent(
+        acc_out.to_set_df(),
+        "SELECT * FROM (SELECT DISTINCT x FROM t1 WHERE a > 2), "
+        "(SELECT DISTINCT y FROM t2)",
+        t1=acc_t1.to_set_df(), t2=acc_t2.to_set_df(),
+    )
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_union_all_view_incremental(spark, seed):
+    """Bag UNION ALL: a purely linear view, multiplicities kept."""
+    ast = t.t_union_all(
+        t.Project.of(t.t_select(t.Rel("t1"), "a > 2"), {"v": "x"}),
+        t.Project.of(t.Rel("t2"), {"v": "y"}),
+    )
+    acc_out, acc_t1, acc_t2 = drive(spark, ast, n_steps=4, seed=seed + 200)
+    assert_equivalent(
+        acc_out.to_bag_df(),
+        "SELECT x AS v FROM t1 WHERE a > 2 UNION ALL SELECT y AS v FROM t2",
+        t1=acc_t1.to_set_df(), t2=acc_t2.to_set_df(),
+    )
