@@ -1,4 +1,4 @@
-"""Shared spark-submit plumbing for the experiment jobs.
+"""Shared helpers for the experiment jobs.
 
 Each ``jobs/tN_*.py`` reproduces one table of EXPERIMENTS.md: it builds
 the workload, runs the paper's incremental circuit against the
@@ -7,33 +7,28 @@ non-incremental baseline, and prints a markdown table. Run with
 """
 from __future__ import annotations
 
-import os
 import sys
 import time
 from typing import Callable
 
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
-    "--conf spark.driver.host=127.0.0.1 "
-    "--conf spark.ui.enabled=false pyspark-shell",
-)
-
-from pyspark.sql import SparkSession  # noqa: E402
+from repro import session
+from repro.zset.frame import ZSet
 
 
-def get_spark(app: str) -> SparkSession:
-    """Session configured like the test fixture (shuffle path exercised)."""
-    s = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+def get_spark(app: str):
+    """The shared session (``repro.session``), with Spark's log quietened."""
+    s = session.build(app)
     s.sparkContext.setLogLevel("ERROR")
     return s
+
+
+def base_and_delta(spark, pdf, delta_rows: int) -> tuple[ZSet, ZSet]:
+    """Materialized Z-sets of all of ``pdf`` and of a seeded row sample."""
+    base = ZSet.from_df(spark.createDataFrame(pdf)).materialize()
+    delta = ZSet.from_df(
+        spark.createDataFrame(pdf.sample(delta_rows, random_state=1))
+    ).materialize()
+    return base, delta
 
 
 def timed(fn: Callable, repeats: int = 3) -> tuple[object, float]:

@@ -8,11 +8,10 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from common import get_spark, print_table, timed  # noqa: E402
+from common import base_and_delta, get_spark, print_table, timed  # noqa: E402
 
 from repro import synth_data  # noqa: E402
 from repro.zset import ops as zops  # noqa: E402
-from repro.zset.frame import ZSet  # noqa: E402
 
 DELTA_ROWS = 1_000
 
@@ -27,10 +26,7 @@ def main():
     rows = []
     for sf in (0.01, 0.05, 0.1, 0.25):
         pdf = synth_data.lineitem(spark, sf=sf).toPandas()
-        base = ZSet.from_df(spark.createDataFrame(pdf)).materialize()
-        delta = ZSet.from_df(
-            spark.createDataFrame(pdf.sample(DELTA_ROWS, random_state=1))
-        ).materialize()
+        base, delta = base_and_delta(spark, pdf, DELTA_ROWS)
         _, t_inc = timed(lambda: linear_query(delta).consolidate().df.count())
         _, t_full = timed(lambda: linear_query(base).consolidate().df.count())
         rows.append(

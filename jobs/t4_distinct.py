@@ -3,13 +3,12 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from common import get_spark, print_table, timed  # noqa: E402
+from common import base_and_delta, get_spark, print_table, timed  # noqa: E402
 
 from repro import synth_data  # noqa: E402
 from repro.core.backend import SparkZSetOps  # noqa: E402
 from repro.core.circuit import BruteIncremental, IncrementalDistinct  # noqa: E402
 from repro.zset import ops as zops  # noqa: E402
-from repro.zset.frame import ZSet  # noqa: E402
 
 DELTA_ROWS = 1_000
 
@@ -24,10 +23,8 @@ def main():
     rows = []
     for sf in (0.01, 0.05, 0.1, 0.25):
         pdf = synth_data.lineitem(spark, sf=sf).toPandas()
-        base = proj(ZSet.from_df(spark.createDataFrame(pdf))).materialize()
-        delta = proj(
-            ZSet.from_df(spark.createDataFrame(pdf.sample(DELTA_ROWS, random_state=1)))
-        ).materialize()
+        base, delta = base_and_delta(spark, pdf, DELTA_ROWS)
+        base, delta = proj(base).materialize(), proj(delta).materialize()
 
         h_node = IncrementalDistinct(sops)
         h_node.step(base)

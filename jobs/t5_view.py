@@ -3,12 +3,11 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from common import get_spark, print_table, timed  # noqa: E402
+from common import base_and_delta, get_spark, print_table, timed  # noqa: E402
 
 from repro import synth_data  # noqa: E402
 from repro.sql import translate as t  # noqa: E402
 from repro.sql.compile import IncrementalView, evaluate  # noqa: E402
-from repro.zset.frame import ZSet  # noqa: E402
 
 DELTA_LI, DELTA_O = 1_000, 250
 
@@ -30,10 +29,8 @@ def main():
     for sf in (0.01, 0.05, 0.1, 0.25, 0.5):
         li = synth_data.lineitem(spark, sf=sf).toPandas()
         o = synth_data.orders(spark, sf=sf).toPandas()
-        z_li = ZSet.from_df(spark.createDataFrame(li)).materialize()
-        z_o = ZSet.from_df(spark.createDataFrame(o)).materialize()
-        d_li = ZSet.from_df(spark.createDataFrame(li.sample(DELTA_LI, random_state=1))).materialize()
-        d_o = ZSet.from_df(spark.createDataFrame(o.sample(DELTA_O, random_state=1))).materialize()
+        z_li, d_li = base_and_delta(spark, li, DELTA_LI)
+        z_o, d_o = base_and_delta(spark, o, DELTA_O)
 
         iv = IncrementalView(view_ast())
         iv.step({"orders": z_o, "lineitem": z_li})

@@ -186,12 +186,6 @@ class BruteIncremental(Node):
             i.reset()
         self._diff.reset()
 
-    def integral_sizes(self) -> list[int]:
-        return [
-            0 if i.state is None else self.ops.support_count(i.state)
-            for i in self._integrators
-        ]
-
     def step(self, *inputs):
         fulls = [i.step(x) for i, x in zip(self._integrators, inputs)]
         return self._diff.step(self.fn(*fulls))
